@@ -407,6 +407,9 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
   const auto state = state_;
   const int nranks = state->options_.nranks;
   state->deadline_ = std::chrono::steady_clock::now() + state->options_.watchdog;
+  if (telemetry::Recorder::instance().enabled()) {
+    state->trace_slot_ = telemetry::Recorder::world_slot();
+  }
 
   if (const auto& replay = state->options_.replay) {
     if (static_cast<int>(replay->cut.size()) != nranks) {
@@ -443,14 +446,16 @@ WorldResult World::run_threads(const std::function<void(Mpi&)>& rank_main) {
     // caller's stack frame.
     threads.emplace_back([state, r, fn = rank_main] {
       {
-        // One span per rank lifetime, on the rank's own trace lane; the
-        // bind gives the lane its Perfetto thread name.
+        // One span per rank lifetime, on the rank's own trace lane of
+        // this world's slot; the bind gives the lane its Perfetto thread
+        // name.
+        const int lane = telemetry::rank_lane(state->trace_slot_, r);
         if (telemetry::Recorder::instance().enabled()) {
-          telemetry::Recorder::bind_thread(telemetry::Track::Rank, r,
-                                           "rank-" + std::to_string(r));
+          telemetry::Recorder::bind_thread(telemetry::Track::Rank, lane,
+                                           telemetry::rank_lane_label(lane));
         }
         telemetry::ScopedSpan rank_span("rank-main", telemetry::Track::Rank,
-                                        r);
+                                        lane);
         Mpi mpi(state, r);
         try {
           fn(mpi);
@@ -656,10 +661,13 @@ WorldResult World::run_fibers(const std::function<void(Mpi&)>& rank_main) {
   }
 
   const auto body = [&state, &rank_main](int r) {
-    // One span per rank lifetime on the rank's trace lane. No per-rank
-    // bind_thread here: all fibers share the scheduler's thread, and the
-    // track/id pair on the span already attributes it.
-    telemetry::ScopedSpan rank_span("rank-main", telemetry::Track::Rank, r);
+    // One span per rank lifetime on the rank's trace lane of this
+    // world's slot, so worlds on other executor workers never share it.
+    // No per-rank bind_thread here: all fibers share the scheduler's
+    // thread, and the exporter names the lane from its track/index pair.
+    telemetry::ScopedSpan rank_span(
+        "rank-main", telemetry::Track::Rank,
+        telemetry::rank_lane(state->trace_slot_, r));
     Mpi mpi(state, r);
     try {
       rank_main(mpi);

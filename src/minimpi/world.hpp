@@ -291,6 +291,9 @@ class WorldState {
   std::vector<std::unique_ptr<MemoryRegistry>> registries_;
   ProgressTable progress_;
   std::chrono::steady_clock::time_point deadline_{};
+  /// World slot of this world's rank trace lanes (telemetry::rank_lane),
+  /// read from the thread calling run() while the recorder is enabled.
+  int trace_slot_ = 0;
 
   std::mutex event_mutex_;
   std::optional<CapturedEvent> event_;

@@ -54,7 +54,9 @@ int trace_tid(Track track, int index) noexcept {
   switch (track) {
     case Track::Main: return 1;
     case Track::Executor: return 100 + lane;
-    case Track::Rank: return 1000 + lane;
+    // Slot-0 ranks below 2000 keep 1000 + rank; every other rank lane
+    // (executor worlds, huge worlds) sits above the fixed ranges below.
+    case Track::Rank: return lane < 2000 ? 1000 + lane : 10000 + lane;
     case Track::Monitor: return 3000 + lane;
     case Track::MlLoop: return 4000 + lane;
     case Track::Journal: return 4500 + lane;
@@ -90,7 +92,11 @@ std::string to_chrome_trace(const std::vector<Event>& events,
   for (const auto& event : events) {
     if (!has_lane(event.track, event.index)) {
       std::string label = to_string(event.track);
-      if (event.index >= 0) label += '-' + std::to_string(event.index);
+      if (event.track == Track::Rank && event.index >= 0) {
+        label = rank_lane_label(event.index);
+      } else if (event.index >= 0) {
+        label += '-' + std::to_string(event.index);
+      }
       lanes.push_back(ThreadInfo{event.track, event.index, std::move(label)});
     }
   }

@@ -37,6 +37,9 @@ std::string json_escape(std::string_view s);
 bool write_text_file(const std::string& path, const std::string& text);
 
 /// Synthetic Chrome-trace tid for a lane, matching to_chrome_trace.
+/// Ranges: Main 1, Executor 100+, Rank 1000..2999 (slot-0 ranks below
+/// 2000), Monitor 3000+, MlLoop 4000, Journal 4500, and every other rank
+/// lane at 10000 + index (>= 12000).
 int trace_tid(Track track, int index) noexcept;
 
 }  // namespace fastfit::telemetry

@@ -17,6 +17,13 @@ const char* to_string(Track track) noexcept {
   return "unknown";
 }
 
+std::string rank_lane_label(int index) {
+  const int slot = index / kRankLaneStride;
+  std::string label = "rank-" + std::to_string(index % kRankLaneStride);
+  if (slot == 0) return label;
+  return "executor-" + std::to_string(slot - 1) + '/' + label;
+}
+
 // ---------------------------------------------------------------------------
 // Metrics instruments
 
@@ -200,6 +207,12 @@ void Recorder::bind_thread(Track track, int index, std::string label) {
 
 ThreadInfo Recorder::thread_info() { return handle().info; }
 
+int Recorder::world_slot() noexcept {
+  const auto& info = handle().info;
+  return info.track == Track::Executor && info.index >= 0 ? info.index + 1
+                                                          : 0;
+}
+
 Counter& Recorder::counter(std::string_view name, std::string_view help,
                            std::string_view labels) {
   std::string key = std::string(name) + '{' + std::string(labels) + '}';
@@ -256,9 +269,17 @@ std::vector<Event> Recorder::drain_events() {
   buffered_.fetch_sub(std::min(events.size(),
                                buffered_.load(std::memory_order_relaxed)),
                       std::memory_order_relaxed);
+  // Start order, with an enclosing span ahead of the spans it contains
+  // when they open in the same microsecond: the longer one first, and on
+  // a full tie the one recorded later (a span records when it closes, so
+  // on one thread the later of two equal spans is the outer one).
+  std::reverse(events.begin(), events.end());
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& a, const Event& b) {
-                     return a.start_us < b.start_us;
+                     if (a.start_us != b.start_us) {
+                       return a.start_us < b.start_us;
+                     }
+                     return a.dur_us > b.dur_us;
                    });
   return events;
 }

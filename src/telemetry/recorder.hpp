@@ -40,12 +40,13 @@
 namespace fastfit::telemetry {
 
 /// Trace track an event belongs to. Tracks map to Perfetto threads: one
-/// per executor worker, one per simulated rank, one for the hang monitor
-/// and the live progress meter, one for the ML loop, one for journal I/O.
+/// per executor worker, one per simulated rank of each world slot, one
+/// for the hang monitor and the live progress meter, one for the ML loop,
+/// one for journal I/O.
 enum class Track : std::uint8_t {
   Main = 0,  ///< the campaign driver thread
   Executor,  ///< TrialExecutor workers (index = worker ordinal)
-  Rank,      ///< simulated MPI ranks (index = world rank)
+  Rank,      ///< simulated MPI ranks (index = rank_lane(slot, rank))
   Monitor,   ///< hang monitor verdicts, watchdog fires, progress meter
   MlLoop,    ///< injection ⇄ learning feedback loop
   Journal,   ///< durable trial journal fsync batches
@@ -53,6 +54,22 @@ enum class Track : std::uint8_t {
 inline constexpr std::size_t kNumTracks = 6;
 
 const char* to_string(Track track) noexcept;
+
+/// Rank lanes are scoped to the world that records them, so two worlds
+/// running at once never share one. A world run on TrialExecutor worker
+/// w records in world slot w + 1; any other world (the main thread, a
+/// serial campaign, a tool) records in slot 0. Rank r of slot s lands on
+/// Track::Rank index `s * kRankLaneStride + r`, so slot-0 worlds keep
+/// index r. Worlds of up to kRankLaneStride ranks get distinct lanes.
+inline constexpr int kRankLaneStride = 1 << 16;
+
+constexpr int rank_lane(int slot, int rank) noexcept {
+  return slot * kRankLaneStride + rank;
+}
+
+/// Perfetto thread name of a rank lane: "rank-3" in slot 0,
+/// "executor-1/rank-3" for rank 3 of a world run on executor worker 1.
+std::string rank_lane_label(int index);
 
 /// One recorded event: a complete span (dur_us >= 0) or an instant
 /// (dur_us < 0). `name` must be a string literal (stored by pointer).
@@ -201,6 +218,11 @@ class Recorder {
   /// The calling thread's current lane (Main/-1 when never bound).
   static ThreadInfo thread_info();
 
+  /// The world slot of a world run on the calling thread: w + 1 on
+  /// TrialExecutor worker w, else 0 (see kRankLaneStride). Touches the
+  /// thread-local lane, so callers read it only while enabled.
+  static int world_slot() noexcept;
+
   /// Finds or creates a metric. References stay valid for the process
   /// lifetime (instruments live in deques); callers cache them in
   /// function-local statics. `labels` is the Prometheus label body,
@@ -212,7 +234,8 @@ class Recorder {
   LatencyHistogram& latency(std::string_view name, std::string_view help);
 
   /// Moves every buffered event out of every thread buffer (live and
-  /// retired), in start-time order.
+  /// retired), in start-time order; an enclosing span precedes the spans
+  /// it contains even when they start in the same microsecond.
   std::vector<Event> drain_events();
 
   /// Labels for every lane that bound itself via bind_thread.

@@ -7,14 +7,19 @@
 
 #include <cstdio>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "core/campaign.hpp"
 #include "inject/outcome.hpp"
+#include "minimpi/mpi.hpp"
+#include "minimpi/world.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
@@ -133,6 +138,57 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
     }
   }
   EXPECT_TRUE(hist_found);
+}
+
+// Rank lanes are scoped to the world slot of the thread that runs the
+// world: slot 0 keeps index r (tid 1000 + r), executor worker w records
+// on rank_lane(w + 1, r), a lane no other world and no other track uses.
+TEST_F(CampaignTelemetryTest, RankLanesAreScopedToTheCallingWorldSlot) {
+  auto& rec = tel::Recorder::instance();
+  for (const auto engine : {mpi::WorldEngine::Fibers,
+                            mpi::WorldEngine::Threads}) {
+    SCOPED_TRACE(mpi::to_string(engine));
+    rec.reset();
+    mpi::WorldOptions opts;
+    opts.nranks = 3;
+    opts.engine = engine;
+    const auto run_world = [&opts] {
+      mpi::World world(opts);
+      EXPECT_TRUE(world.run([](mpi::Mpi& m) { m.barrier(); }).clean());
+    };
+    tel::Recorder::bind_thread(tel::Track::Main, -1, "campaign-main");
+    run_world();
+    std::thread([&run_world] {
+      tel::Recorder::bind_thread(tel::Track::Executor, 1, "executor-1");
+      run_world();
+    }).join();
+
+    std::set<int> lanes;
+    for (const auto& event : rec.drain_events()) {
+      if (std::string_view(event.name) == "rank-main") {
+        EXPECT_EQ(event.track, tel::Track::Rank);
+        lanes.insert(event.index);
+      }
+    }
+    const std::set<int> expected = {0, 1, 2, tel::rank_lane(2, 0),
+                                    tel::rank_lane(2, 1),
+                                    tel::rank_lane(2, 2)};
+    EXPECT_EQ(lanes, expected);
+    for (const int lane : lanes) {
+      const int tid = tel::trace_tid(tel::Track::Rank, lane);
+      EXPECT_TRUE(tid < 3000 || tid >= 10000) << "rank tid " << tid;
+    }
+  }
+  EXPECT_EQ(tel::rank_lane_label(2), "rank-2");
+  EXPECT_EQ(tel::rank_lane_label(tel::rank_lane(2, 1)), "executor-1/rank-1");
+  bool executor_rank_bound = false;
+  for (const auto& info : rec.bound_threads()) {
+    if (info.track == tel::Track::Rank &&
+        info.index == tel::rank_lane(2, 1)) {
+      executor_rank_bound = info.label == "executor-1/rank-1";
+    }
+  }
+  EXPECT_TRUE(executor_rank_bound);  // the thread engine names its lanes
 }
 
 TEST_F(CampaignTelemetryTest, ReplayedCampaignReportsIdenticalCounterTotals) {

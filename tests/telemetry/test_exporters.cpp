@@ -54,6 +54,8 @@ TEST(TraceTid, LanesMapToStableDisjointTids) {
   EXPECT_EQ(trace_tid(Track::Monitor, 0), 3000);
   EXPECT_EQ(trace_tid(Track::MlLoop, -1), 4000);
   EXPECT_EQ(trace_tid(Track::Journal, 0), 4500);
+  // Rank 3 of a world run on executor worker 0 (world slot 1).
+  EXPECT_EQ(trace_tid(Track::Rank, rank_lane(1, 3)), 10000 + 65536 + 3);
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {

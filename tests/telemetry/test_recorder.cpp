@@ -93,6 +93,33 @@ TEST_F(RecorderTest, SpanRecordsCompleteEventOnBoundLane) {
   Recorder::bind_thread(Track::Main, -1, "campaign-main");
 }
 
+// Spans record when they close, so an inner span reaches the buffer
+// before its parent; the drain must still put the parent first when both
+// open in the same microsecond.
+TEST_F(RecorderTest, DrainPutsEnclosingSpanFirstOnStartTies) {
+  auto& rec = Recorder::instance();
+  const auto span = [](const char* name, std::int64_t start,
+                       std::int64_t dur) {
+    Event event;
+    event.name = name;
+    event.start_us = start;
+    event.dur_us = dur;
+    return event;
+  };
+  rec.record(span("marker", 5, -1));  // an instant
+  rec.record(span("leaf", 5, 0));
+  rec.record(span("inner", 5, 0));    // closes after leaf: encloses it
+  rec.record(span("outer", 5, 3));
+  rec.record(span("early", 4, 1));
+  const auto events = rec.drain_events();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_STREQ(events[0].name, "early");
+  EXPECT_STREQ(events[1].name, "outer");
+  EXPECT_STREQ(events[2].name, "inner");
+  EXPECT_STREQ(events[3].name, "leaf");
+  EXPECT_STREQ(events[4].name, "marker");
+}
+
 TEST_F(RecorderTest, SpanConstructedWhileDisabledStaysInert) {
   auto& rec = Recorder::instance();
   rec.disable();

@@ -5,9 +5,12 @@ Checks three things (any subset, depending on the flags given):
 
   --trace trace.json      The Chrome trace-event document parses, every
                           event lane has thread_name metadata, spans have
-                          ts/dur, and at least --min-tracks distinct track
-                          types (main/executor/rank/monitor/ml/journal)
-                          are present.
+                          ts/dur, complete spans on one lane nest (none
+                          partially overlaps another; queue-wait, which
+                          starts at submission, is exempt), and at least
+                          --min-tracks distinct track types
+                          (main/executor/rank/monitor/ml/journal) are
+                          present.
   --metrics metrics.prom  The Prometheus text exposition parses (HELP/
                           TYPE comments, sample lines, monotone histogram
                           buckets, +Inf == _count).
@@ -42,6 +45,7 @@ TRACK_OF_TID = (
     (3000, 3999, "monitor"),
     (4000, 4499, "ml"),
     (4500, 4999, "journal"),
+    (12000, 2**31 - 1, "rank"),  # executor worlds' rank lanes
 )
 
 
@@ -57,6 +61,28 @@ def track_of(tid):
     return f"unknown({tid})"
 
 
+def check_nesting(path, spans_by_tid):
+    """Complete spans on one lane must be disjoint or nested: Perfetto
+    stacks X events per thread, so a partial overlap means two unrelated
+    activities (e.g. two concurrent worlds) share a lane."""
+    for tid, spans in spans_by_tid.items():
+        # Sorted by start, longest first: each span must close inside
+        # every still-open span that contains its start.
+        spans.sort(key=lambda s: (s[0], -s[1]))
+        open_spans = []  # stack of (end, name, start)
+        for start, end, name in spans:
+            while open_spans and open_spans[-1][0] <= start:
+                open_spans.pop()
+            if open_spans and end > open_spans[-1][0]:
+                outer_end, outer_name, outer_start = open_spans[-1]
+                fail(
+                    f"{path}: {outer_name} [{outer_start},{outer_end}) and "
+                    f"{name} [{start},{end}) partially overlap on "
+                    f"{track_of(tid)} lane tid {tid}"
+                )
+            open_spans.append((end, name, start))
+
+
 def check_trace(path, min_tracks):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -66,6 +92,7 @@ def check_trace(path, min_tracks):
 
     named_tids = set()
     event_tids = set()
+    spans_by_tid = {}
     spans = instants = 0
     for ev in events:
         ph = ev.get("ph")
@@ -83,6 +110,10 @@ def check_trace(path, min_tracks):
                 fail(f"{path}: X event without ts: {ev}")
             if not isinstance(ev.get("dur"), (int, float)) or ev["dur"] < 0:
                 fail(f"{path}: X event without non-negative dur: {ev}")
+            if ev.get("name") != "queue-wait":
+                spans_by_tid.setdefault(tid, []).append(
+                    (ev["ts"], ev["ts"] + ev["dur"], ev.get("name"))
+                )
         elif ph == "i":
             if ev.get("s") != "t":
                 fail(f"{path}: instant without thread scope: {ev}")
@@ -93,6 +124,10 @@ def check_trace(path, min_tracks):
     unnamed = event_tids - named_tids
     if unnamed:
         fail(f"{path}: lanes without thread_name metadata: {sorted(unnamed)}")
+    unknown = sorted(t for t in event_tids if track_of(t).startswith("unknown"))
+    if unknown:
+        fail(f"{path}: lanes outside every known tid range: {unknown}")
+    check_nesting(path, spans_by_tid)
     tracks = {track_of(tid) for tid in event_tids}
     if len(tracks) < min_tracks:
         fail(
